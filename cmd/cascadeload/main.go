@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -154,6 +155,8 @@ func run() error {
 
 	var res *result
 	var err error
+	var memBefore, memAfter runtime.MemStats
+	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	if cfg.rate > 0 {
 		res, err = openLoop(cfg, client, front, floors)
@@ -164,6 +167,8 @@ func run() error {
 		return err
 	}
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&memAfter)
+	res.allocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
 
 	if cfg.memProfile != "" {
 		f, ferr := os.Create(cfg.memProfile)
@@ -277,6 +282,10 @@ type result struct {
 	writes    int // invalidations issued (counted inside count)
 	stale     int // reads served below a completed write's generation
 	dropped   int // open loop: arrivals skipped because inflight was saturated
+	// allocBytes is the process's heap allocation over the measured phase
+	// (runtime.MemStats.TotalAlloc delta): generator, and in in-process
+	// mode the origin and every gateway too.
+	allocBytes uint64
 }
 
 // genFloors tracks, per object, the highest generation any completed write
@@ -606,6 +615,12 @@ func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hi
 		time.Duration(p50).Round(time.Microsecond),
 		time.Duration(p99).Round(time.Microsecond),
 		time.Duration(p999).Round(time.Microsecond))
+	scope := "origin, gateways and generator"
+	if cfg.target != "" {
+		scope = "generator only"
+	}
+	fmt.Fprintf(os.Stderr, "cascadeload: allocated %.0f B/request [%s]\n",
+		float64(res.allocBytes)/float64(res.count), scope)
 	if hitRatio >= 0 {
 		fmt.Fprintf(os.Stderr, "cascadeload: hit ratio %.3f [%s]\n", hitRatio, hitSource)
 	} else {

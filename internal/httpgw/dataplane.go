@@ -185,10 +185,19 @@ var copyBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// copyStream streams src to dst through a pooled buffer.
+// writerOnly hides dst's optional io.ReaderFrom from io.CopyBuffer. An
+// http.ResponseWriter implements ReadFrom, and io.CopyBuffer prefers it over
+// the buffer it was given: past the 512-byte sniff, net/http hands the copy
+// to the TCP connection's ReadFrom, which — an HTTP client body is neither a
+// file nor a socket, so splice and sendfile never apply — falls back to an
+// io.Copy with a freshly allocated 32 KiB buffer per relayed body.
+type writerOnly struct{ io.Writer }
+
+// copyStream streams src to dst through a pooled buffer, never through
+// dst's ReadFrom.
 func copyStream(dst io.Writer, src io.Reader) (int64, error) {
 	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(dst, src, *bp)
+	n, err := io.CopyBuffer(writerOnly{dst}, src, *bp)
 	copyBufPool.Put(bp)
 	return n, err
 }
@@ -244,7 +253,9 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		}
 		sreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, r.URL.Path, nil)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			if idx == 0 {
+				failSegmented(w, err.Error())
+			}
 			return
 		}
 		sreq.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", lo, hi))
@@ -253,7 +264,7 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		n.ServeHTTP(rec, sreq)
 		if rec.status != http.StatusOK && rec.status != http.StatusPartialContent {
 			if idx == 0 {
-				w.WriteHeader(http.StatusBadGateway)
+				failSegmented(w, "httpgw: segment 0 failed with status "+strconv.Itoa(rec.status))
 			}
 			// Mid-stream failure: stop short — the Content-Length mismatch
 			// surfaces the truncation to the client.
@@ -261,7 +272,7 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		}
 		if int64(rec.buf.Len()) != hi-lo+1 {
 			if idx == 0 {
-				http.Error(w, "httpgw: segment length mismatch", http.StatusBadGateway)
+				failSegmented(w, "httpgw: segment length mismatch")
 			}
 			return
 		}
@@ -269,4 +280,12 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 			return
 		}
 	}
+}
+
+// failSegmented answers a complete 502 before any segment byte went out:
+// the whole object's marker and Content-Length set up front no longer
+// describe the response (http.Error drops the latter itself).
+func failSegmented(w http.ResponseWriter, msg string) {
+	w.Header().Del(HeaderSegmented)
+	http.Error(w, msg, http.StatusBadGateway)
 }

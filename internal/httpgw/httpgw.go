@@ -293,11 +293,18 @@ func (n *Node) SetShards(p int) {
 // binaryCapable reports whether this node speaks the binary framing.
 func (n *Node) binaryCapable() bool { return !n.DisableBinaryFraming }
 
+// frameV3Advert is the shared, never-mutated value of every bf3 advert:
+// assigned under the canonical key, it spares Header.Set's key
+// canonicalization and one []string allocation per protocol message. Its
+// capacity is 1, so a Header.Add on the key copies instead of writing
+// through it.
+var frameV3Advert = []string{FrameV3}
+
 // advertise marks an outgoing protocol message (request or response) with
 // this node's best frame version.
 func (n *Node) advertise(h http.Header) {
 	if n.binaryCapable() {
-		h.Set(HeaderAccept, FrameV3)
+		h[HeaderAccept] = frameV3Advert
 	}
 }
 
@@ -925,7 +932,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Chosen as a caching point: the node must hold the bytes anyway, so
 	// buffer the payload and keep the DownStep and the body-store insert in
 	// one critical section.
-	body, err := io.ReadAll(resp.Body)
+	body, err := readPlacedBody(resp, n.capacity)
 	if err != nil {
 		tsp.Force(span.FlagError)
 		tsp.End(upsp, n.Clock())
@@ -1006,6 +1013,23 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("ETag", tag)
 	}
 	writeBody(w, seg, body)
+}
+
+// readPlacedBody buffers the body a placing hop keeps. A declared length
+// the node could hold at all sizes one exact allocation, filled by
+// io.ReadFull (a short body is an error, like any truncated read); an
+// unknown length, or one above the whole cache's capacity, grows as it
+// reads instead — a peer's claim must not size an allocation.
+func readPlacedBody(resp *http.Response, capacity int64) ([]byte, error) {
+	cl := resp.ContentLength
+	if cl < 0 || cl > capacity {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, cl)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // relayStream finishes a miss whose decision did not choose this node: the
@@ -1362,7 +1386,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
 		version := 0
 		if !o.DisableBinaryFraming {
-			w.Header().Set(HeaderAccept, FrameV3)
+			w.Header()[HeaderAccept] = frameV3Advert
 			version = peerFrameVersion(r.Header)
 		}
 		writeDecision(w.Header(), version, o.originDecision(obj, chosen, predict))
@@ -1405,7 +1429,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
 	version := 0
 	if !o.DisableBinaryFraming {
-		w.Header().Set(HeaderAccept, FrameV3)
+		w.Header()[HeaderAccept] = frameV3Advert
 		version = peerFrameVersion(r.Header)
 	}
 	d := o.originDecision(obj, chosen, predict)
@@ -1421,7 +1445,9 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if o.Dir != "" {
 		body = full
 	} else {
-		body = store.SyntheticBody(baseObj, int(size))
+		bp := originBodyPool.Get().(*[]byte)
+		body = store.AppendSyntheticBody((*bp)[:0], baseObj, int(size))
+		defer putOriginBody(bp, body)
 	}
 	tag := etagOf(body)
 	w.Header().Set("ETag", tag)
@@ -1431,6 +1457,23 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body) //nolint:errcheck
+}
+
+// originBodyPool holds the origin's synthesis scratch buffers: a served
+// synthetic body is generated into one, written out (io.Writer never
+// retains its argument) and handed back, instead of allocated per fetch.
+var originBodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledOriginBody bounds what a pooled scratch buffer may keep, so one
+// large object does not pin its size in every pool slot.
+const maxPooledOriginBody = 1 << 20
+
+func putOriginBody(bp *[]byte, body []byte) {
+	if cap(body) > maxPooledOriginBody {
+		return
+	}
+	*bp = body[:0]
+	originBodyPool.Put(bp)
 }
 
 // nodeSnapshot is the gob-serialized persistent state of a gateway node.

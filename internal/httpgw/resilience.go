@@ -224,7 +224,13 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 	client := n.client()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Do(req.Clone(req.Context()))
+		send := req
+		if attempt > 0 {
+			// Only a retry sends a copy: the transport may still be
+			// finishing with the failed attempt's request.
+			send = req.Clone(req.Context())
+		}
+		resp, err := client.Do(send)
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()
@@ -297,7 +303,7 @@ func (n *Node) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
 		w.Header().Set("ETag", tag)
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck
+	copyStream(w, resp.Body) //nolint:errcheck
 	return true
 }
 

@@ -334,3 +334,26 @@ func TestBodyHashStable(t *testing.T) {
 		t.Fatal("distinct objects hashed equal")
 	}
 }
+
+func TestAppendSyntheticBodyMatchesSyntheticBody(t *testing.T) {
+	scratch := make([]byte, 0, 64) // reused across sizes, grown past 64
+	for _, size := range []int{0, 1, 7, 8, 9, 63, 64, 65, 100, 4095, 4097} {
+		for _, obj := range []model.ObjectID{0, 5, 1 << 40} {
+			want := SyntheticBody(obj, size)
+			scratch = AppendSyntheticBody(scratch[:0], obj, size)
+			if !bytes.Equal(scratch, want) {
+				t.Fatalf("obj %d size %d: reused-buffer append differs from SyntheticBody", obj, size)
+			}
+			got := AppendSyntheticBody([]byte("pre"), obj, size)
+			if string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
+				t.Fatalf("obj %d size %d: append after a prefix differs", obj, size)
+			}
+			if size > 2 {
+				lo, hi := size/3, size-1
+				if r := SyntheticRange(obj, size, lo, hi); !bytes.Equal(r, want[lo:hi]) {
+					t.Fatalf("obj %d size %d: SyntheticRange [%d,%d) differs", obj, size, lo, hi)
+				}
+			}
+		}
+	}
+}

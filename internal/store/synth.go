@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 
 	"cascade/internal/model"
 )
@@ -27,15 +28,29 @@ func synthSeed(obj model.ObjectID) uint64 {
 	return uint64(obj)*2654435761 + 12345
 }
 
+// synthFill writes the LCG stream that follows state into out.
+func synthFill(out []byte, state uint64) {
+	for i := range out {
+		state = state*lcgA + lcgC
+		out[i] = byte(state >> 56)
+	}
+}
+
 // SyntheticBody returns the deterministic payload for obj at the given size.
 func SyntheticBody(obj model.ObjectID, size int) []byte {
 	body := make([]byte, size)
-	seed := synthSeed(obj)
-	for i := range body {
-		seed = seed*lcgA + lcgC
-		body[i] = byte(seed >> 56)
-	}
+	synthFill(body, synthSeed(obj))
 	return body
+}
+
+// AppendSyntheticBody appends SyntheticBody(obj, size) to dst and returns
+// the extended slice, reusing dst's capacity — the origin synthesises every
+// served body into a pooled scratch buffer this way.
+func AppendSyntheticBody(dst []byte, obj model.ObjectID, size int) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, size)[:n+size]
+	synthFill(dst[n:], synthSeed(obj))
+	return dst
 }
 
 // SyntheticRange returns bytes [lo, hi) of SyntheticBody(obj, size) without
@@ -52,12 +67,8 @@ func SyntheticRange(obj model.ObjectID, size int, lo, hi int) []byte {
 	if hi <= lo {
 		return []byte{}
 	}
-	seed := lcgSkip(synthSeed(obj), uint64(lo))
 	out := make([]byte, hi-lo)
-	for i := range out {
-		seed = seed*lcgA + lcgC
-		out[i] = byte(seed >> 56)
-	}
+	synthFill(out, lcgSkip(synthSeed(obj), uint64(lo)))
 	return out
 }
 
