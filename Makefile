@@ -19,9 +19,9 @@ BENCH_OUT  ?= bench_latest.txt
 SLO_THRESHOLD ?= 4.0
 LOADTEST_OUT  ?= loadtest_latest.txt
 
-.PHONY: check vet lint build test race observe conformance dataplane rolling coherency bench bench-check loadtest slo
+.PHONY: check vet lint build test race observe conformance dataplane rolling coherency bench bench-check bench-smoke loadtest slo
 
-check: vet lint build race observe conformance dataplane rolling coherency bench-check loadtest slo
+check: vet lint build race observe conformance dataplane rolling coherency bench-smoke bench-check loadtest slo
 
 # Import guard: the protocol incarnations (scheme, sim, runtime, httpgw)
 # must reach the placement optimizer only through internal/engine, never by
@@ -97,6 +97,13 @@ bench:
 bench-check:
 	$(GO) test -bench='BenchmarkSimulatorThroughput|BenchmarkClusterThroughput' -benchmem -benchtime=$(BENCH_TIME) -count=4 -run=^$$ . | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchcheck -in $(BENCH_OUT)
+
+# Layer-benchmark smoke: run every benchmark of the cache, d-cache and
+# engine layers once, so they keep compiling and running. No threshold and
+# no baseline: the numbers are for A/B comparison by hand (see
+# docs/PERFORMANCE.md).
+bench-smoke:
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./internal/cache ./internal/dcache ./internal/engine
 
 # End-to-end latency SLO gate: cascadeload drives an in-process 3-gateway
 # chain (sharded, binary framing) with a Zipf closed loop and emits

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -23,6 +22,12 @@ func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now)
 // HeapStore is a capacity-bounded object store whose eviction order follows
 // a key function, maintained in a binary min-heap as suggested in paper
 // §2.4 (O(log m) per adjustment).
+//
+// The heap is a flat array of slots, each holding a copy of its entry's
+// eviction key and object ID beside the descriptor pointer, so sifting
+// compares contiguous slots and never loads a descriptor; descriptors are
+// written only to keep their heapIndex current as slots move. Descriptor.key
+// mirrors the slot's key (EvictionKey and the audit read it).
 //
 // Keys derived from sliding-window frequency estimates are piecewise
 // constant: Estimate only recomputes when an object is referenced or its
@@ -46,7 +51,7 @@ type HeapStore struct {
 	unit      bool // capacity counted in entries instead of bytes
 	keyFn     KeyFunc
 	entries   map[model.ObjectID]*Descriptor
-	h         descHeap
+	h         []heapSlot
 	epoch     uint64
 	aging     float64 // full re-key sweep interval (seconds)
 	lastSweep float64
@@ -105,16 +110,18 @@ func (s *HeapStore) maybeSweep(now float64) {
 		d.dirty = false
 	}
 	s.dirty = s.dirty[:0]
-	for _, d := range s.entries {
-		d.key = s.keyFn(d, now)
+	for i := range s.h {
+		sl := &s.h[i]
+		sl.key = s.keyFn(sl.d, now)
+		sl.d.key = sl.key
 	}
-	heap.Init(&s.h)
+	s.heapify()
 }
 
 // flushDirty applies deferred re-keys, restoring the heap invariant before
 // an order-sensitive operation (victim selection, removal). Each entry is
 // fixed individually: the heap is valid apart from the one entry whose key
-// changes, so heap.Fix fully restores it per step.
+// changes, so fix fully restores it per step.
 func (s *HeapStore) flushDirty() {
 	if len(s.dirty) == 0 {
 		return
@@ -122,7 +129,7 @@ func (s *HeapStore) flushDirty() {
 	for i, d := range s.dirty {
 		if d.dirty && d.heapIndex >= 0 {
 			d.key = d.pendingKey
-			heap.Fix(&s.h, d.heapIndex)
+			s.fix(d.heapIndex)
 		}
 		d.dirty = false
 		s.dirty[i] = nil
@@ -218,17 +225,20 @@ func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool)
 	s.epoch++
 	victims := s.victimBuf[:0]
 	for free < need {
-		d := heap.Pop(&s.h).(*Descriptor)
+		d := s.pop()
 		if d.epoch != s.epoch {
 			// First time this entry surfaces in this selection:
 			// refresh its key; if it no longer holds the minimum,
-			// put it back and keep looking.
+			// put it back and keep looking. The comparison is on the
+			// key alone, not the (key, ID) order: a refreshed key that
+			// ties the new minimum is taken here, and comparing IDs too
+			// would change victim sequences.
 			d.epoch = s.epoch
 			k := s.keyFn(d, now)
 			if k != d.key {
 				d.key = k
-				if s.h.Len() > 0 && k > s.h[0].key {
-					heap.Push(&s.h, d)
+				if len(s.h) > 0 && k > s.h[0].key {
+					s.push(d)
 					continue
 				}
 			}
@@ -253,7 +263,7 @@ func (s *HeapStore) CostLoss(size int64, now float64) (loss float64, ok bool) {
 	}
 	for _, d := range victims {
 		loss += d.CostLoss(now)
-		heap.Push(&s.h, d) // roll back
+		s.push(d) // roll back
 	}
 	return loss, true
 }
@@ -282,7 +292,7 @@ func (s *HeapStore) Insert(d *Descriptor, now float64) (evicted []*Descriptor, o
 	s.entries[d.ID] = d
 	s.used += size
 	d.key = s.keyFn(d, now)
-	heap.Push(&s.h, d)
+	s.push(d)
 	return victims, true
 }
 
@@ -295,8 +305,7 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 	// Apply deferred re-keys first so a detached descriptor carries no
 	// stale dirty state into another store (main cache ↔ d-cache moves).
 	s.flushDirty()
-	heap.Remove(&s.h, d.heapIndex)
-	d.heapIndex = -1
+	s.remove(d.heapIndex)
 	delete(s.entries, id)
 	s.used -= s.entrySize(d)
 	return d
@@ -308,7 +317,30 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 // the key the entry would sort under after the next flush. It exists for
 // the eviction-order audit: immediately after an insertion that evicted
 // victims, every retained entry's key must be ≥ every victim's final key.
+//
+// With no re-key pending (always so right after an evicting Insert) the
+// heap is exact, so the answer is the root, or the smaller of the root's
+// children when the root is id: O(1). Otherwise it scans every entry.
 func (s *HeapStore) MinKeyExcluding(id model.ObjectID) (float64, bool) {
+	if len(s.dirty) == 0 {
+		h := s.h
+		switch {
+		case len(h) > 0 && h[0].id != id:
+			return h[0].key, true
+		case len(h) <= 1:
+			return 0, false
+		case len(h) == 2 || h[1].key <= h[2].key:
+			return h[1].key, true
+		default:
+			return h[2].key, true
+		}
+	}
+	return s.minKeyScan(id)
+}
+
+// minKeyScan is MinKeyExcluding by a scan of every entry, honouring
+// deferred re-keys.
+func (s *HeapStore) minKeyScan(id model.ObjectID) (float64, bool) {
 	best, found := 0.0, false
 	for _, d := range s.entries {
 		if d.ID == id {
@@ -335,14 +367,23 @@ func (s *HeapStore) ForEach(fn func(*Descriptor)) {
 // checkInvariants panics if internal bookkeeping is inconsistent. It is
 // exercised by tests.
 func (s *HeapStore) checkInvariants() {
-	if len(s.entries) != s.h.Len() {
-		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), s.h.Len()))
+	if len(s.entries) != len(s.h) {
+		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), len(s.h)))
 	}
 	var used int64
 	for _, d := range s.entries {
 		used += s.entrySize(d)
-		if d.heapIndex < 0 || d.heapIndex >= s.h.Len() || s.h[d.heapIndex] != d {
+		if d.heapIndex < 0 || d.heapIndex >= len(s.h) || s.h[d.heapIndex].d != d {
 			panic(fmt.Sprintf("cache: descriptor %d heap index %d inconsistent", d.ID, d.heapIndex))
+		}
+	}
+	for i := range s.h {
+		sl := &s.h[i]
+		if sl.key != sl.d.key || sl.id != sl.d.ID {
+			panic(fmt.Sprintf("cache: slot %d (key %v, id %d) does not mirror descriptor %d (key %v)", i, sl.key, sl.id, sl.d.ID, sl.d.key))
+		}
+		if i > 0 && sl.less(&s.h[(i-1)/2]) {
+			panic(fmt.Sprintf("cache: slot %d sorts before its parent", i))
 		}
 	}
 	if used != s.used {
@@ -353,37 +394,106 @@ func (s *HeapStore) checkInvariants() {
 	}
 }
 
-// descHeap is a min-heap of descriptors ordered by cached key, with
-// deterministic ID tie-breaking so simulations replay identically.
-type descHeap []*Descriptor
+// heapSlot is one eviction-heap entry. key and id duplicate the
+// descriptor's so ordering the heap reads only the slot array; the (key,
+// then ID) order is strict, so the minimum is unique and simulations replay
+// identically.
+type heapSlot struct {
+	key float64
+	id  model.ObjectID
+	d   *Descriptor
+}
 
-func (h descHeap) Len() int { return len(h) }
-
-func (h descHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+func (a *heapSlot) less(b *heapSlot) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h[i].ID < h[j].ID
+	return a.id < b.id
 }
 
-func (h descHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
+// up sifts the slot at j toward the root.
+func (s *HeapStore) up(j int) {
+	h := s.h
+	x := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !x.less(&h[i]) {
+			break
+		}
+		h[j] = h[i]
+		h[j].d.heapIndex = j
+		j = i
+	}
+	h[j] = x
+	x.d.heapIndex = j
 }
 
-func (h *descHeap) Push(x any) {
-	d := x.(*Descriptor)
-	d.heapIndex = len(*h)
-	*h = append(*h, d)
+// down sifts the slot at i0 toward the leaves of the heap's first n slots
+// and reports whether it moved.
+func (s *HeapStore) down(i0, n int) bool {
+	h := s.h
+	x := h[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].less(&h[j]) {
+			j = j2
+		}
+		if !h[j].less(&x) {
+			break
+		}
+		h[i] = h[j]
+		h[i].d.heapIndex = i
+		i = j
+	}
+	h[i] = x
+	x.d.heapIndex = i
+	return i > i0
 }
 
-func (h *descHeap) Pop() any {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	d.heapIndex = -1
-	*h = old[:n-1]
+// heapify restores heap order over every slot.
+func (s *HeapStore) heapify() {
+	n := len(s.h)
+	for i := n/2 - 1; i >= 0; i-- {
+		s.down(i, n)
+	}
+}
+
+// push adds d under its current key.
+func (s *HeapStore) push(d *Descriptor) {
+	s.h = append(s.h, heapSlot{key: d.key, id: d.ID, d: d})
+	s.up(len(s.h) - 1)
+}
+
+// pop removes and returns the minimum.
+func (s *HeapStore) pop() *Descriptor {
+	d := s.h[0].d
+	s.remove(0)
 	return d
+}
+
+// remove detaches the slot at i.
+func (s *HeapStore) remove(i int) {
+	n := len(s.h) - 1
+	d := s.h[i].d
+	if i != n {
+		s.h[i] = s.h[n]
+		if !s.down(i, n) {
+			s.up(i)
+		}
+	}
+	s.h[n] = heapSlot{}
+	s.h = s.h[:n]
+	d.heapIndex = -1
+}
+
+// fix re-sorts the slot at i after its descriptor's key changed.
+func (s *HeapStore) fix(i int) {
+	s.h[i].key = s.h[i].d.key
+	if !s.down(i, len(s.h)) {
+		s.up(i)
+	}
 }

@@ -298,9 +298,7 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 	}
 	// Not instructed to cache: maintain the node's meta information about
 	// the passing object.
-	if st.DCache.Contains(obj) {
-		st.DCache.SetMissPenalty(obj, mp, now)
-	} else {
+	if !st.DCache.SetMissPenalty(obj, mp, now) {
 		desc := st.newDescriptor(obj, size)
 		desc.Window.Record(now)
 		desc.SetMissPenalty(mp)
